@@ -1,6 +1,7 @@
 package matrix
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -397,19 +398,37 @@ func TestStringElides(t *testing.T) {
 	}
 }
 
+// TestMulBTIntoMatchesMul pins the scoring kernel's determinism
+// contract: every element is bit-identical to a scalar dot product
+// summed from zero with r ascending (the order internal/baseline
+// scores in), whatever the register blocking does. The shapes straddle
+// the 4-row block of b and its scalar remainder.
 func TestMulBTIntoMatchesMul(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	// Spread sizes across the tile boundary (tile = 8 rows of b).
-	for _, dims := range [][3]int{{1, 1, 1}, {3, 7, 4}, {8, 8, 8}, {5, 17, 9}, {2, 33, 1}} {
-		m, n, r := dims[0], dims[1], dims[2]
-		a := Random(m, r, rng)
-		b := Random(n, r, rng)
-		dst := New(m, n)
-		MulBTInto(dst, a, b)
-		want := Mul(a, b.T())
-		for i := range dst.Data {
-			if math.Float64bits(dst.Data[i]) != math.Float64bits(want.Data[i]) {
-				t.Fatalf("%v: element %d: %v != %v", dims, i, dst.Data[i], want.Data[i])
+	var ns []int
+	for n := 0; n <= 9; n++ {
+		ns = append(ns, n)
+	}
+	ns = append(ns, 17, 33)
+	for _, n := range ns {
+		for _, r := range []int{1, 2, 15, 16, 17} {
+			for _, m := range []int{1, 3, 32} {
+				a := Random(m, r, rng)
+				b := Random(n, r, rng)
+				dst := New(m, n)
+				MulBTInto(dst, a, b)
+				for i := 0; i < m; i++ {
+					for j := 0; j < n; j++ {
+						var want float64
+						for k := 0; k < r; k++ {
+							want += a.At(i, k) * b.At(j, k)
+						}
+						if got := dst.At(i, j); math.Float64bits(got) != math.Float64bits(want) {
+							t.Fatalf("m=%d n=%d r=%d: (%d,%d) = %x, want %x", m, n, r, i, j,
+								math.Float64bits(got), math.Float64bits(want))
+						}
+					}
+				}
 			}
 		}
 	}
@@ -431,5 +450,26 @@ func TestMulBTIntoPanicsOnShape(t *testing.T) {
 			}()
 			MulBTInto(tc.dst, tc.a, tc.b)
 		}()
+	}
+}
+
+var mulBTSink float64
+
+// BenchmarkMulBTInto scores query batches of 1, 4 and 32 against a
+// 400×16 shard — the serving layer's per-shard kernel call.
+func BenchmarkMulBTInto(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	shard := Random(400, 16, rng)
+	for _, batch := range []int{1, 4, 32} {
+		b.Run(fmt.Sprintf("batch=%d", batch), func(b *testing.B) {
+			q := Random(batch, 16, rng)
+			dst := New(batch, shard.Rows)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				MulBTInto(dst, q, shard)
+			}
+			mulBTSink = dst.Data[0]
+		})
 	}
 }

@@ -120,11 +120,15 @@ func MulVec(a *Matrix, x []float64) []float64 {
 // MulBTInto computes dst = a·bᵀ into a preshaped dst (a is M×R, b is
 // N×R, dst must be M×N). It is the serving layer's batched scoring
 // kernel: a holds a batch of query vectors, b a shard of the object
-// factor, and dst(i,j) is query i's score for object j. The loop is
-// tiled over b's rows so one tile of object rows stays cache-resident
-// across the whole query batch, but each dst element is still a single
-// dot product accumulated in ascending r — tiling and sharding change
-// memory traffic, never the floating-point result (DESIGN.md §3h).
+// factor, and dst(i,j) is query i's score for object j. The kernel is
+// register-blocked: the outer loop takes four rows of b at a time and,
+// for every row of a, runs four independent accumulators over one pass
+// of that query vector, so each query element is loaded once per four
+// dot products; leftover rows of b take a scalar loop. Each dst element
+// is still a single dot product summed from zero in ascending r —
+// blocking and sharding change memory traffic and instruction-level
+// parallelism, never the floating-point result (DESIGN.md §3h). The
+// kernel allocates nothing.
 func MulBTInto(dst, a, b *Matrix) {
 	if a.Cols != b.Cols {
 		panic(fmt.Sprintf("matrix: MulBTInto inner mismatch %dx%d · (%dx%d)ᵀ", a.Rows, a.Cols, b.Rows, b.Cols))
@@ -132,20 +136,35 @@ func MulBTInto(dst, a, b *Matrix) {
 	if dst.Rows != a.Rows || dst.Cols != b.Rows {
 		panic(fmt.Sprintf("matrix: MulBTInto dst is %dx%d, want %dx%d", dst.Rows, dst.Cols, a.Rows, b.Rows))
 	}
-	const tile = 8
-	for j0 := 0; j0 < b.Rows; j0 += tile {
-		j1 := min(j0+tile, b.Rows)
+	j := 0
+	for ; j+4 <= b.Rows; j += 4 {
+		b0, b1, b2, b3 := b.Row(j), b.Row(j+1), b.Row(j+2), b.Row(j+3)
 		for i := 0; i < a.Rows; i++ {
 			arow := a.Row(i)
-			drow := dst.Row(i)
-			for j := j0; j < j1; j++ {
-				brow := b.Row(j)
-				var s float64
-				for r, av := range arow {
-					s += av * brow[r]
-				}
-				drow[j] = s
+			// Reslicing to len(arow) lets the compiler drop the
+			// bounds checks from the inner loop.
+			b0, b1, b2, b3 := b0[:len(arow)], b1[:len(arow)], b2[:len(arow)], b3[:len(arow)]
+			var s0, s1, s2, s3 float64
+			for r, av := range arow {
+				s0 += av * b0[r]
+				s1 += av * b1[r]
+				s2 += av * b2[r]
+				s3 += av * b3[r]
 			}
+			d := dst.Row(i)[j : j+4]
+			d[0], d[1], d[2], d[3] = s0, s1, s2, s3
+		}
+	}
+	for ; j < b.Rows; j++ {
+		brow := b.Row(j)
+		for i := 0; i < a.Rows; i++ {
+			arow := a.Row(i)
+			brow := brow[:len(arow)]
+			var s float64
+			for r, av := range arow {
+				s += av * brow[r]
+			}
+			dst.Row(i)[j] = s
 		}
 	}
 }

@@ -26,13 +26,14 @@ func (q qkey) hash() uint64 {
 	return z ^ z>>31
 }
 
-// flight is one in-progress computation of a query that followers wait
-// on. done is closed (outside the stripe lock — lockscope) once results
-// is filled; err reports a failed leader so followers don't serve a
-// zero-value ranking.
+// flight is the record followers of an in-progress computation wait
+// on. A leader registers a nil *flight in its stripe; the first
+// follower allocates the record under the stripe lock, so a miss that
+// nobody coalesces onto allocates nothing. done is closed (outside the
+// stripe lock — lockscope) once results is filled; err reports a
+// failed leader so followers don't serve a zero-value ranking.
 type flight struct {
 	done    chan struct{}
-	waiters int // followers registered before finish, under the stripe lock
 	results []Result
 	err     error
 }
@@ -153,49 +154,57 @@ type stripe struct {
 
 // lookup is the cache front door. It returns, in order of preference:
 // a cached ranking (cached=true, dst filled); a flight to wait on
-// (fl non-nil, leader=false); or leadership of a new flight (fl
-// non-nil, leader=true) — the caller must compute the ranking and call
-// finish. dst receives a copy of cached results under the lock so the
-// entry can't be evicted out from under the caller.
-func (s *stripe) lookup(key qkey, dst []Result) (res []Result, cached bool, fl *flight, leader bool) {
+// (fl non-nil); or leadership of a new computation (cached=false, fl
+// nil) — the caller must compute the ranking and call finish. dst
+// receives a copy of cached results under the lock so the entry can't
+// be evicted out from under the caller.
+func (s *stripe) lookup(key qkey, dst []Result) (res []Result, cached bool, fl *flight) {
 	s.mu.Lock()
 	if r, ok := s.lru.get(key); ok {
 		s.hits++
 		dst = append(dst[:0], r...)
 		s.mu.Unlock()
-		return dst, true, nil, false
+		return dst, true, nil
 	}
 	if f, ok := s.flights[key]; ok {
 		s.shared++
-		f.waiters++
+		if f == nil {
+			// First follower: the leader registered no record.
+			f = &flight{done: make(chan struct{})}
+			s.flights[key] = f
+		}
 		s.mu.Unlock()
-		return dst, false, f, false
+		return dst, false, f
 	}
 	s.misses++
-	f := &flight{done: make(chan struct{})}
-	s.flights[key] = f
+	s.flights[key] = nil
 	s.mu.Unlock()
-	return dst, false, f, true
+	return dst, false, nil
 }
 
 // finish publishes a leader's ranking: results are copied into the LRU
-// (on success), the flight is removed from the table, and — after the
-// lock is released — done is closed to release the followers. The
-// flight gets its own copy of the results only when followers are
-// actually waiting, because the leader's buffer is pooled scratch that
-// is recycled as soon as finish returns.
-func (s *stripe) finish(key qkey, fl *flight, results []Result, err error) {
-	fl.err = err
+// (on success) and the key leaves the flight table. If followers
+// registered a flight record, it gets its own copy of the results —
+// the leader's buffer is pooled scratch that is recycled as soon as
+// finish returns — and, after the lock is released, done is closed to
+// release them.
+func (s *stripe) finish(key qkey, results []Result, err error) {
 	s.mu.Lock()
 	if err == nil {
 		s.lru.put(key, results)
 	}
-	if fl.waiters > 0 && err == nil {
-		fl.results = append([]Result(nil), results...)
-	}
+	fl := s.flights[key]
 	delete(s.flights, key)
+	if fl != nil {
+		fl.err = err
+		if err == nil {
+			fl.results = append([]Result(nil), results...)
+		}
+	}
 	s.mu.Unlock()
-	close(fl.done)
+	if fl != nil {
+		close(fl.done)
+	}
 }
 
 // cacheStats is a snapshot of one stripe's counters.

@@ -306,11 +306,11 @@ func (s *Server) TopKObjects(subject, predicate int64, k int, dst []Result) ([]R
 	key := qkey{subject: subject, predicate: predicate, k: k}
 	st := s.stripes[key.hash()%uint64(len(s.stripes))]
 
-	res, cached, fl, leader := st.lookup(key, dst)
+	res, cached, fl := st.lookup(key, dst)
 	if cached {
 		return res, nil
 	}
-	if !leader {
+	if fl != nil {
 		<-fl.done
 		if fl.err != nil {
 			return dst[:0], fl.err
@@ -324,7 +324,7 @@ func (s *Server) TopKObjects(subject, predicate int64, k int, dst []Result) ([]R
 	<-req.done
 	dst = append(dst[:0], req.results...)
 	err := req.err
-	st.finish(key, fl, req.results, err)
+	st.finish(key, req.results, err)
 	s.reqPool.Put(req)
 	if err != nil {
 		return dst[:0], err

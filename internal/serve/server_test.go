@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"runtime"
@@ -211,26 +212,34 @@ func TestMembershipMatchesFactorRow(t *testing.T) {
 // TestSingleFlight pins the coalescing semantics: many concurrent
 // identical queries on a cold cache must produce exactly one miss, with
 // the rest either coalesced onto the leader's flight or served from the
-// cache the leader filled.
+// cache the leader filled — and every caller, coalesced or not, must
+// get the leader's ranking bit for bit.
 func TestSingleFlight(t *testing.T) {
-	_, _, model := testParafac(5, 11, 301, 7, 6)
+	lambda, factors, model := testParafac(5, 11, 301, 7, 6)
 	srv, err := New(model, Config{Shards: 4, CacheSize: 16, MaxBatch: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
 	const clients = 32
+	got := make([][]Result, clients)
 	var wg sync.WaitGroup
 	wg.Add(clients)
 	for c := 0; c < clients; c++ {
-		go func() {
+		go func(c int) {
 			defer wg.Done()
-			if _, err := srv.TopKObjects(3, 2, 5, nil); err != nil {
+			res, err := srv.TopKObjects(3, 2, 5, nil)
+			if err != nil {
 				t.Error(err)
 			}
-		}()
+			got[c] = res
+		}(c)
 	}
 	wg.Wait()
+	want := baseline.ParafacTopKObjects(lambda, factors, 3, 2, 5)
+	for c := range got {
+		sameAsBaseline(t, got[c], want, "single flight")
+	}
 	st := srv.Stats()
 	if st.CacheMisses != 1 {
 		t.Errorf("misses = %d, want exactly 1 (single flight)", st.CacheMisses)
@@ -240,6 +249,62 @@ func TestSingleFlight(t *testing.T) {
 	}
 	if got := st.HitRate(); got < 0 || got > 1 {
 		t.Errorf("hit rate %f out of range", got)
+	}
+}
+
+// TestSingleFlightLazyRecord drives one stripe through the flight
+// record's lifecycle deterministically: a leader registers without a
+// record, the first follower allocates it, later followers share it,
+// and finish hands every follower its own copy of the leader's
+// ranking, bit for bit, before the leader's buffer is recycled.
+func TestSingleFlightLazyRecord(t *testing.T) {
+	for _, failed := range []bool{false, true} {
+		st := &stripe{lru: newLRU(4), flights: make(map[qkey]*flight)}
+		key := qkey{subject: 1, predicate: 2, k: 3}
+		if _, cached, fl := st.lookup(key, nil); cached || fl != nil {
+			t.Fatalf("leader lookup: cached=%v flight=%v, want a bare leadership", cached, fl)
+		}
+		if rec, ok := st.flights[key]; !ok || rec != nil {
+			t.Fatalf("leader registered %v (present %v), want a nil record", rec, ok)
+		}
+		var followers []*flight
+		for i := 0; i < 3; i++ {
+			_, cached, fl := st.lookup(key, nil)
+			if cached || fl == nil {
+				t.Fatalf("follower %d: cached=%v flight=%v", i, cached, fl)
+			}
+			followers = append(followers, fl)
+		}
+		for _, fl := range followers[1:] {
+			if fl != followers[0] {
+				t.Fatal("followers did not share one flight record")
+			}
+		}
+		leader := []Result{{Index: 7, Score: 0.25}, {Index: 2, Score: math.Copysign(0, -1)}, {Index: 9, Score: -1.5}}
+		var err error
+		if failed {
+			err = errors.New("leader failed")
+		}
+		st.finish(key, leader, err)
+		want := append([]Result(nil), leader...)
+		for i := range leader {
+			leader[i] = Result{Index: -1, Score: math.NaN()} // the pooled buffer is recycled
+		}
+		fl := followers[0]
+		<-fl.done
+		if failed {
+			if fl.err == nil || fl.results != nil {
+				t.Fatalf("failed leader published err=%v results=%v", fl.err, fl.results)
+			}
+		} else if fl.err != nil || !resultsEqual(fl.results, want) {
+			t.Fatalf("followers got %v (err %v), want %v", fl.results, fl.err, want)
+		}
+		if _, ok := st.flights[key]; ok {
+			t.Fatal("finish left the key in the flight table")
+		}
+		if h, m, c := st.stats(); h != 0 || m != 1 || c != 3 {
+			t.Fatalf("stats hits=%d misses=%d shared=%d, want 0/1/3", h, m, c)
+		}
 	}
 }
 
@@ -293,9 +358,9 @@ func TestSteadyStateAllocs(t *testing.T) {
 		t.Errorf("steady-state allocs/query = %.3f, want ≤ 0.1", avg)
 	}
 
-	// The cold path is allowed its single-flight bookkeeping (one
-	// flight struct + channel per miss) but must stay bounded — the
-	// batch, score panels, and request are all pooled.
+	// The miss path allocates nothing either: the batch, score panels
+	// and request are pooled, and a leader nobody coalesces onto
+	// registers its flight without allocating a record.
 	var s int64
 	missSrv, err := New(model, Config{Shards: 4, MaxBatch: 8, NoCache: true})
 	if err != nil {
@@ -311,8 +376,14 @@ func TestSteadyStateAllocs(t *testing.T) {
 		s = (s + 1) % 23
 		dst, _ = missSrv.TopKObjects(s, 3, k, dst)
 	})
-	if avg > 8 {
-		t.Errorf("miss-path allocs/query = %.1f, want small and bounded", avg)
+	// Under -race the request pool drops items by design, so only the
+	// old per-miss bound applies there.
+	bound := 0.1
+	if raceEnabled {
+		bound = 8
+	}
+	if avg > bound {
+		t.Errorf("miss-path allocs/query = %.3f, want ≤ %g", avg, bound)
 	}
 }
 

@@ -12,8 +12,11 @@
 // merged on a k-way heap; results are cached in per-shard LRU stripes
 // with single-flight coalescing of duplicate in-flight queries; and a
 // dispatcher batches concurrent queries so the rank-R dot products are
-// amortized over a blocked matrix–matrix kernel. The steady-state query
-// path performs no allocations (pinned by AllocsPerRun tests).
+// amortized over a register-blocked matrix–matrix kernel. Neither a
+// cache hit nor a miss allocates in the steady state: misses use pooled
+// requests and batch buffers, and a single-flight record is allocated
+// only when a second caller actually coalesces onto a miss (pinned by
+// AllocsPerRun tests).
 //
 // The engine's standing invariant carries over: sharding, batching and
 // caching may change wall-clock time and counters, never the returned
@@ -54,6 +57,13 @@ func better(a, b Result) bool {
 // indexes. The selection keeps a bounded worst-at-root heap of size k —
 // O(n log k), no allocation beyond dst's growth — and heap-sorts it
 // into descending rank order at the end.
+//
+// After the heap holds the first k entries, each later score is only
+// compared with the root's cached score; a Result is built and sifted
+// in on a strict > alone. Indexes rise with i, so a later entry with
+// an equal score already ranks behind the root under better's index
+// tie-break: the threshold test admits exactly the entries better
+// would, and most scores of a large shard cost one comparison.
 func SelectTopK(dst []Result, scores []float64, base int64, k int) []Result {
 	if k > len(scores) {
 		k = len(scores)
@@ -62,20 +72,20 @@ func SelectTopK(dst []Result, scores []float64, base int64, k int) []Result {
 		return dst
 	}
 	h := dst[:0]
-	for i, s := range scores {
-		r := Result{Index: base + int64(i), Score: s}
-		if len(h) < k {
-			h = append(h, r)
-			siftUp(h, len(h)-1)
-			continue
-		}
-		if better(r, h[0]) {
-			h[0] = r
-			siftDown(h, 0, len(h))
+	for i, s := range scores[:k] {
+		h = append(h, Result{Index: base + int64(i), Score: s})
+		siftUp(h, i)
+	}
+	worst := h[0].Score
+	for i := k; i < len(scores); i++ {
+		if s := scores[i]; s > worst {
+			h[0] = Result{Index: base + int64(i), Score: s}
+			siftDown(h, 0, k)
+			worst = h[0].Score
 		}
 	}
 	// Heap-sort in place: repeatedly swap the worst root to the end.
-	for end := len(h) - 1; end > 0; end-- {
+	for end := k - 1; end > 0; end-- {
 		h[0], h[end] = h[end], h[0]
 		siftDown(h, 0, end)
 	}
@@ -134,6 +144,8 @@ func MergeTopK(dst []Result, parts [][]Result, k int, heads, pos []int) ([]Resul
 	}
 	if cap(heads) < len(parts) {
 		heads = make([]int, 0, len(parts))
+	}
+	if cap(pos) < len(parts) {
 		pos = make([]int, len(parts))
 	}
 	heads = heads[:0]

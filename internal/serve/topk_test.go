@@ -3,6 +3,7 @@ package serve
 import (
 	"encoding/binary"
 	"math"
+	"math/rand"
 	"sort"
 	"testing"
 
@@ -137,6 +138,18 @@ func TestMergeTopKScratchReuse(t *testing.T) {
 			t.Fatalf("pass %d: got %v want %v", i, dst, want)
 		}
 	}
+	// heads and pos are sized independently: a large heads with a
+	// short pos (or the reverse) must grow the short one, not panic.
+	for _, sc := range []struct{ heads, pos []int }{
+		{make([]int, 0, 8), nil},
+		{nil, make([]int, 0, 8)},
+		{make([]int, 0, 8), make([]int, 1)},
+	} {
+		dst, _, _ = MergeTopK(dst[:0], parts, 3, sc.heads, sc.pos)
+		if want := sortTopK(scores, 0, 3); !resultsEqual(dst, want) {
+			t.Fatalf("scratch heads cap %d, pos cap %d: got %v want %v", cap(sc.heads), cap(sc.pos), dst, want)
+		}
+	}
 }
 
 func TestColumnTopKNormalizes(t *testing.T) {
@@ -208,4 +221,61 @@ func FuzzShardMerge(f *testing.F) {
 			t.Fatalf("k=%d shards=%d scores=%v:\n got %v\nwant %v", k, shards, scores, got, want)
 		}
 	})
+}
+
+// FuzzSelectTopK checks the threshold-first selection against the full
+// sort under the (score desc, index asc) order for arbitrary scores and
+// k. The checked-in corpus holds the adversarial shapes: ascending
+// scores (every entry replaces the root), all-equal scores (every entry
+// ties the root), ±0, ±Inf, k > n and k = 0.
+func FuzzSelectTopK(f *testing.F) {
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0xf0, 0x3f}, 1)
+	f.Fuzz(func(t *testing.T, data []byte, k int) {
+		scores := make([]float64, 0, len(data)/8)
+		for len(data) >= 8 {
+			v := math.Float64frombits(binary.LittleEndian.Uint64(data[:8]))
+			if math.IsNaN(v) {
+				v = 0 // NaN has no place in a total order; the scorers never produce it
+			}
+			scores = append(scores, v)
+			data = data[8:]
+		}
+		// A dirty reused buffer must not leak into the result.
+		dst := []Result{{Index: -1, Score: math.Inf(1)}}
+		got := SelectTopK(dst[:0], scores, 7, k)
+		want := sortTopK(scores, 7, k)
+		if !resultsEqual(got, want) {
+			t.Fatalf("k=%d scores=%v:\n got %v\nwant %v", k, scores, got, want)
+		}
+	})
+}
+
+var topKSink []Result
+
+// BenchmarkSelectTopK selects k = 10 of n = 400 scores — one shard's
+// selection in the serving layer — from random scores and from
+// ascending ones, where every entry displaces the heap's root.
+func BenchmarkSelectTopK(b *testing.B) {
+	const n, k = 400, 10
+	rng := rand.New(rand.NewSource(1))
+	random := make([]float64, n)
+	ascending := make([]float64, n)
+	for i := range random {
+		random[i] = rng.NormFloat64()
+		ascending[i] = float64(i)
+	}
+	for _, bc := range []struct {
+		name   string
+		scores []float64
+	}{{"random", random}, {"ascending", ascending}} {
+		b.Run(bc.name, func(b *testing.B) {
+			dst := make([]Result, 0, k)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				dst = SelectTopK(dst[:0], bc.scores, 0, k)
+			}
+			topKSink = dst
+		})
+	}
 }
