@@ -93,6 +93,7 @@ func ParafacContract(s *Staged, n int, u1, u2 *matrix.Matrix, v Variant) (*matri
 	for _, y := range ys {
 		m.Set(int(y.I), int(y.R), m.At(int(y.I), int(y.R))+y.Val)
 	}
+	mr.Recycle(ys)
 	return m, nil
 }
 
@@ -123,6 +124,7 @@ func (s *Staged) tuckerNaive(n int, u1, u2 *matrix.Matrix) ([]YEntry, error) {
 			return nil, err
 		}
 		tEntries = append(tEntries, out...)
+		mr.Recycle(out)
 	}
 	// Fibers of 𝒯 for the second round of broadcasts.
 	tDims := s.Dims
@@ -153,6 +155,7 @@ func (s *Staged) tuckerNaive(n int, u1, u2 *matrix.Matrix) ([]YEntry, error) {
 		for _, e := range out {
 			ys = append(ys, YEntry{I: e.Idx[n], Q: int32(e.Idx[m1]), R: int32(e.Idx[m2]), Val: e.Val})
 		}
+		mr.Recycle(out)
 	}
 	return ys, nil
 }
@@ -179,9 +182,11 @@ func (s *Staged) tuckerDNN(n int, u1, u2 *matrix.Matrix) ([]YEntry, error) {
 	}
 	tFile := tmpName(s.cluster, s.Name, "T")
 	hFiles = append(hFiles, tFile)
-	if _, err := collapse(s.cluster, s.codec, hFiles[:len(hFiles)-1], m1, tFile); err != nil {
+	tOut, err := collapse(s.cluster, s.codec, hFiles[:len(hFiles)-1], m1, tFile)
+	if err != nil {
 		return nil, err
 	}
+	mr.Recycle(tOut) // 𝒯 is read back from tFile
 	var h2Files []string
 	defer func() { s.cleanup(h2Files) }()
 	for r := 0; r < u2.Cols; r++ {
@@ -204,6 +209,7 @@ func (s *Staged) tuckerDNN(n int, u1, u2 *matrix.Matrix) ([]YEntry, error) {
 	for i, e := range out {
 		ys[i] = YEntry{I: e.Idx[n], Q: int32(e.Idx[m1]), R: int32(e.Idx[m2]), Val: e.Val}
 	}
+	mr.Recycle(out)
 	return ys, nil
 }
 
@@ -224,7 +230,7 @@ func (s *Staged) tuckerDRN(n int, u1, u2 *matrix.Matrix) ([]YEntry, error) {
 	}
 	mg := tr.Begin("stage", "cross-merge")
 	defer tr.End(mg)
-	return crossMerge(s.cluster, s.codec, t1Files, t2Files, n)
+	return crossMerge(s.cluster, s.codec, t1Files, t2Files, n, u1.Cols, u2.Cols)
 }
 
 // tuckerDRI: Algorithm 9. One IMHP job + one CrossMerge: 2 jobs.
@@ -238,7 +244,7 @@ func (s *Staged) tuckerDRI(n int, u1, u2 *matrix.Matrix) ([]YEntry, error) {
 	}
 	mg := tr.Begin("stage", "cross-merge")
 	defer tr.End(mg)
-	return crossMerge(s.cluster, s.codec, []string{t1File}, []string{t2File}, n)
+	return crossMerge(s.cluster, s.codec, []string{t1File}, []string{t2File}, n, u1.Cols, u2.Cols)
 }
 
 // --- PARAFAC plans ----------------------------------------------------
@@ -288,9 +294,11 @@ func (s *Staged) parafacNaive(n int, u1, u2 *matrix.Matrix) ([]YEntry, error) {
 		if err != nil {
 			return nil, err
 		}
+		mr.Recycle(tOut)
 		for _, e := range yOut {
 			ys = append(ys, YEntry{I: e.Idx[n], Q: int32(r), R: int32(r), Val: e.Val})
 		}
+		mr.Recycle(yOut)
 	}
 	return ys, nil
 }
@@ -316,9 +324,11 @@ func (s *Staged) parafacDNN(n int, u1, u2 *matrix.Matrix) ([]YEntry, error) {
 		}
 		tf := tmpName(s.cluster, s.Name, fmt.Sprintf("T%d", r))
 		tmp = append(tmp, tf)
-		if _, err := collapse(s.cluster, s.codec, []string{hf}, m1, tf); err != nil {
+		tOut, err := collapse(s.cluster, s.codec, []string{hf}, m1, tf)
+		if err != nil {
 			return nil, err
 		}
+		mr.Recycle(tOut) // 𝒯ᵣ is read back from tf
 		if err := stageColumn(s.cluster, vecFile, u2, r); err != nil {
 			return nil, err
 		}
@@ -336,6 +346,7 @@ func (s *Staged) parafacDNN(n int, u1, u2 *matrix.Matrix) ([]YEntry, error) {
 		for _, e := range out {
 			ys = append(ys, YEntry{I: e.Idx[n], Q: int32(r), R: int32(r), Val: e.Val})
 		}
+		mr.Recycle(out)
 	}
 	return ys, nil
 }

@@ -135,12 +135,15 @@ func imhpN(c *mr.Cluster, codec Codec, xFile string, modes []int, matFiles, outF
 		Inputs: inputs,
 		Reduce: func(key [2]int64, vals []nsval, emit func(NHEntry)) {
 			side := int8(key[0])
-			var row []MatEntry
+			j := joinPool.Get().(*joinScratch)
+			defer joinPool.Put(j)
+			row := j.row[:0]
 			for _, v := range vals {
 				if v.isMat {
 					row = append(row, MatEntry{Col: v.col, Val: v.val})
 				}
 			}
+			j.row = row
 			for _, v := range vals {
 				if v.isMat {
 					continue
@@ -161,13 +164,26 @@ func imhpN(c *mr.Cluster, codec Codec, xFile string, modes []int, matFiles, outF
 	if err != nil {
 		return err
 	}
-	// MultipleOutputs: one file per side.
+	// MultipleOutputs: one file per side. As in the 3-way imhp, count
+	// each side first and fill exactly sized pooled slabs that the DFS
+	// then owns.
+	counts := make([]int, len(modes))
+	for _, h := range out {
+		counts[h.Side]++
+	}
 	bySide := make([][]NHEntry, len(modes))
+	for s, n := range counts {
+		bySide[s] = mr.Acquire[NHEntry](n)
+	}
 	for _, h := range out {
 		bySide[h.Side] = append(bySide[h.Side], h)
 	}
+	mr.Recycle(out)
 	for s, f := range outFiles {
-		if err := mr.WriteFile(c, f, bySide[s], nhEntrySize); err != nil {
+		if err := mr.WriteFileOwned(c, f, bySide[s], nhEntrySize); err != nil {
+			for _, rest := range bySide[s+1:] {
+				mr.Recycle(rest) // never reaches its write on this path
+			}
 			return err
 		}
 	}
@@ -178,7 +194,8 @@ func imhpN(c *mr.Cluster, codec Codec, xFile string, modes []int, matFiles, outF
 // every side's Hadamard records for one mode-n slice and cross all
 // column combinations:
 // 𝒴(i, q₀…q_{N-2}) = Σ_idx Π_s 𝒯⁽ˢ⁾(idx, q_s).
-func crossMergeN(c *mr.Cluster, codec Codec, files []string, n, sides int) ([]NYEntry, error) {
+// dims holds each side's factor column count.
+func crossMergeN(c *mr.Cluster, codec Codec, files []string, n int, dims []int) ([]NYEntry, error) {
 	// Files arrive one per side; the side index is packed into the high
 	// bits of the column (columns are ≤ 80 in the paper, far below the
 	// 16-bit boundary).
@@ -190,72 +207,82 @@ func crossMergeN(c *mr.Cluster, codec Codec, files []string, n, sides int) ([]NY
 		})
 	}
 	job := mr.Job[[2]int64, nsval, NYEntry]{
-		Name:   fmt.Sprintf("crossMergeN(mode=%d)", n),
-		Inputs: inputs,
-		Reduce: func(key [2]int64, vals []nsval, emit func(NYEntry)) {
-			type cv struct {
-				col int32
-				val float64
-			}
-			// Per original coordinate, per side: the (col, val) pairs.
-			// Coordinates and column cells are walked in first-seen order
-			// (vals order is fixed by the engine), never in map order, so
-			// summation and emission order are identical on every run.
-			bySide := make(map[[maxOrder]int64][][]cv)
-			var idxOrder [][maxOrder]int64
-			for _, v := range vals {
-				side := int(v.col >> 16)
-				col := v.col & 0xffff
-				lists, ok := bySide[v.idx]
-				if !ok {
-					lists = make([][]cv, sides)
-					idxOrder = append(idxOrder, v.idx)
-				}
-				lists[side] = append(lists[side], cv{col, v.val})
-				bySide[v.idx] = lists
-			}
-			acc := make(map[[maxOrder - 1]int32]float64)
-			var accOrder [][maxOrder - 1]int32
-			var cols [maxOrder - 1]int32
-			var walk func(idxLists [][]cv, s int, prod float64)
-			walk = func(idxLists [][]cv, s int, prod float64) {
-				if s == sides {
-					if _, seen := acc[cols]; !seen {
-						accOrder = append(accOrder, cols)
-					}
-					acc[cols] += prod
-					return
-				}
-				for _, e := range idxLists[s] {
-					cols[s] = e.col
-					walk(idxLists, s+1, prod*e.val)
-				}
-			}
-			for _, idx := range idxOrder {
-				lists := bySide[idx]
-				complete := true
-				for s := 0; s < sides; s++ {
-					if len(lists[s]) == 0 {
-						complete = false
-						break
-					}
-				}
-				if complete {
-					walk(lists, 0, 1)
-				}
-			}
-			for _, qc := range accOrder {
-				if v := acc[qc]; v != 0 {
-					emit(NYEntry{I: key[0], Cols: qc, Val: v})
-				}
-			}
-		},
+		Name:      fmt.Sprintf("crossMergeN(mode=%d)", n),
+		Inputs:    inputs,
+		Reduce:    crossMergeNReduce(dims),
 		Partition: mr.HashPair,
 		OutSize:   nyEntrySize,
 	}
 	nsvalAccounting(&job, codec)
 	out, _, err := mr.Run(c, job)
 	return out, err
+}
+
+// crossMergeNReduce returns the N-way CrossMerge reducer for sides with
+// the given column counts. Records are joined on their original
+// coordinate in the join scratch, one list per (coordinate, side), and
+// every coordinate with records on all sides adds the products of all
+// column combinations into a dense accumulator (cells in row-major
+// order of dims). Coordinates are walked in first-seen order, lists in
+// input order and cells emitted in first-touch order, so summation and
+// emission order are identical on every run.
+func crossMergeNReduce(dims []int) func(key [2]int64, vals []nsval, emit func(NYEntry)) {
+	sides := len(dims)
+	cells := 1
+	for _, d := range dims {
+		cells *= d
+	}
+	return func(key [2]int64, vals []nsval, emit func(NYEntry)) {
+		j := joinPool.Get().(*joinScratch)
+		defer joinPool.Put(j)
+		j.reset()
+		for _, v := range vals {
+			j.rec = append(j.rec, j.slot(v.idx)*int32(sides)+v.col>>16)
+		}
+		j.layout(sides * j.slots())
+		for i, v := range vals {
+			j.put(j.rec[i], v.col&0xffff, v.val)
+		}
+		j.accumulator(cells)
+		for s := 0; s < j.slots(); s++ {
+			base := s * sides
+			complete := true
+			for l := base; l < base+sides; l++ {
+				if j.start[l] == j.start[l+1] {
+					complete = false
+					break
+				}
+			}
+			if complete {
+				j.crossWalk(base, dims, 0, 0, 1)
+			}
+		}
+		for _, cell := range j.touched {
+			if v := j.acc[cell]; v != 0 {
+				var cols [maxOrder - 1]int32
+				for s, c := sides-1, int(cell); s >= 0; s-- {
+					cols[s] = int32(c % dims[s])
+					c /= dims[s]
+				}
+				emit(NYEntry{I: key[0], Cols: cols, Val: v})
+			}
+		}
+	}
+}
+
+// crossWalk adds, for every combination of one record per side from
+// side s on, the running product prod times the records' values into
+// the accumulator cell that cell (the row-major index of the columns
+// chosen before s) extends to. Sides are lists base…base+len(dims)-1.
+func (j *joinScratch) crossWalk(base int, dims []int, s, cell int, prod float64) {
+	if s == len(dims) {
+		j.add(cell, prod)
+		return
+	}
+	cols, vals := j.list(base + s)
+	for i := range cols {
+		j.crossWalk(base, dims, s+1, cell*dims[s]+int(cols[i]), prod*vals[i])
+	}
 }
 
 // pairwiseMergeN is the N-way PairwiseMerge (Definition 4): all sides
@@ -270,47 +297,55 @@ func pairwiseMergeN(c *mr.Cluster, codec Codec, files []string, n, sides int) ([
 		})
 	}
 	job := mr.Job[[2]int64, nsval, NYEntry]{
-		Name:   fmt.Sprintf("pairwiseMergeN(mode=%d)", n),
-		Inputs: inputs,
-		Reduce: func(key [2]int64, vals []nsval, emit func(NYEntry)) {
-			// Coordinates are summed in first-seen order (vals order is
-			// fixed by the engine), never in map order, keeping the
-			// floating-point total identical on every run.
-			prod := make(map[[maxOrder]int64][]float64)
-			var idxOrder [][maxOrder]int64
-			for _, v := range vals {
-				p, ok := prod[v.idx]
-				if !ok {
-					p = make([]float64, sides)
-					prod[v.idx] = p
-					idxOrder = append(idxOrder, v.idx)
-				}
-				p[v.col] += v.val
-			}
-			var sum float64
-			for _, idx := range idxOrder {
-				p := prod[idx]
-				term := 1.0
-				for s := 0; s < sides; s++ {
-					term *= p[s]
-				}
-				sum += term
-			}
-			if sum == 0 {
-				return
-			}
-			var cols [maxOrder - 1]int32
-			for s := 0; s < sides; s++ {
-				cols[s] = int32(key[1])
-			}
-			emit(NYEntry{I: key[0], Cols: cols, Val: sum})
-		},
+		Name:      fmt.Sprintf("pairwiseMergeN(mode=%d)", n),
+		Inputs:    inputs,
+		Reduce:    pairwiseMergeNReduce(sides),
 		Partition: mr.HashPair,
 		OutSize:   nyEntrySize,
 	}
 	nsvalAccounting(&job, codec)
 	out, _, err := mr.Run(c, job)
 	return out, err
+}
+
+// pairwiseMergeNReduce returns the N-way PairwiseMerge reducer. Each
+// coordinate's per-side sums live in a flat slab of the join scratch,
+// sides floats per slot; coordinates are summed in first-seen order
+// (input order is fixed by the engine), keeping the floating-point
+// total identical on every run.
+func pairwiseMergeNReduce(sides int) func(key [2]int64, vals []nsval, emit func(NYEntry)) {
+	return func(key [2]int64, vals []nsval, emit func(NYEntry)) {
+		j := joinPool.Get().(*joinScratch)
+		defer joinPool.Put(j)
+		j.reset()
+		prod := j.slab[:0]
+		for _, v := range vals {
+			at := int(j.slot(v.idx)) * sides
+			if at == len(prod) {
+				for range sides {
+					prod = append(prod, 0)
+				}
+			}
+			prod[at+int(v.col)] += v.val
+		}
+		j.slab = prod
+		var sum float64
+		for at := 0; at < len(prod); at += sides {
+			term := 1.0
+			for _, p := range prod[at : at+sides] {
+				term *= p
+			}
+			sum += term
+		}
+		if sum == 0 {
+			return
+		}
+		var cols [maxOrder - 1]int32
+		for s := 0; s < sides; s++ {
+			cols[s] = int32(key[1])
+		}
+		emit(NYEntry{I: key[0], Cols: cols, Val: sum})
+	}
 }
 
 // otherModesN returns the modes ≠ n in ascending order.
@@ -360,7 +395,11 @@ func (s *StagedN) contractN(n int, factors []*matrix.Matrix, pairwise bool) ([]N
 	if pairwise {
 		return pairwiseMergeN(s.cluster, s.codec, outFiles, n, len(modes))
 	}
-	return crossMergeN(s.cluster, s.codec, outFiles, n, len(modes))
+	dims := make([]int, len(factors))
+	for i, f := range factors {
+		dims[i] = f.Cols
+	}
+	return crossMergeN(s.cluster, s.codec, outFiles, n, dims)
 }
 
 func (s *StagedN) cleanupN(files []string) {

@@ -66,6 +66,7 @@ func ParafacALSN(c *mr.Cluster, x *tensor.Tensor, rank int, opt Options) (*Paraf
 				r := int(e.Cols[0])
 				y.Set(int(e.I), r, y.At(int(e.I), r)+e.Val)
 			}
+			mr.Recycle(ys)
 			gram := matrix.New(rank, rank)
 			for i := range gram.Data {
 				gram.Data[i] = 1
@@ -173,6 +174,8 @@ func TuckerALSN(c *mr.Cluster, x *tensor.Tensor, core []int, opt Options) (*Tuck
 			factors[n] = matrix.LeadingLeftSingularVectors(ym, core[n])
 			if n == order-1 {
 				lastY = ys
+			} else {
+				mr.Recycle(ys)
 			}
 			tr.End(modeSpan)
 		}
@@ -197,6 +200,7 @@ func TuckerALSN(c *mr.Cluster, x *tensor.Tensor, core []int, opt Options) (*Tuck
 				g.Add(e.Val*cv, coords...)
 			}
 		}
+		mr.Recycle(lastY)
 		norm := g.Norm()
 		res.CoreNorms = append(res.CoreNorms, norm)
 		res.Iters = it + 1

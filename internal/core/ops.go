@@ -2,16 +2,9 @@ package core
 
 import (
 	"fmt"
-	"sync"
 
 	"github.com/haten2/haten2/internal/mr"
 )
-
-// pairScratchPool recycles the 𝒯″-side accumulator map the
-// PairwiseMerge reducer needs per key (see pairwiseMerge). Pooled
-// because the reducer runs once per distinct (coordinate, r) key and
-// per-call maps dominated the plan's allocation profile.
-var pairScratchPool = sync.Pool{New: func() any { return make(map[[3]int64]float64) }}
 
 // shuffle size of one sval, by provenance: tensor-derived records carry
 // a full coordinate (paper's ⟨i,j,k,v⟩ tuples); matrix cells are small.
@@ -134,7 +127,10 @@ func hadamardVec(c *mr.Cluster, codec Codec, inFile string, m int, colIdx int32,
 		Output:    outFile,
 	}
 	svalAccounting(&job, codec)
-	_, _, err := mr.Run(c, job)
+	// The records live on in outFile; the returned pooled copy goes
+	// straight back.
+	out, _, err := mr.Run(c, job)
+	mr.Recycle(out)
 	return err
 }
 
@@ -210,13 +206,17 @@ func imhp(c *mr.Cluster, codec Codec, xFile string, m1 int, bFile string, m2 int
 		Reduce: func(key [3]int64, vals []sval, emit func(taggedH)) {
 			side := uint8(key[0])
 			// One factor row: O(Q) memory per reducer (vs. O(1) for the
-			// per-column DRN jobs — the trade §III-B4 argues is cheap).
-			var row []MatEntry
+			// per-column DRN jobs — the trade §III-B4 argues is cheap),
+			// held in a pooled buffer.
+			j := joinPool.Get().(*joinScratch)
+			defer joinPool.Put(j)
+			row := j.row[:0]
 			for _, v := range vals {
 				if v.tag == tagMat {
 					row = append(row, MatEntry{Col: v.col, Val: v.val})
 				}
 			}
+			j.row = row
 			for _, v := range vals {
 				if v.tag == tagMat {
 					continue
@@ -268,69 +268,81 @@ func imhp(c *mr.Cluster, codec Codec, xFile string, m1 int, bFile string, m2 int
 // Both intermediates are shuffled on their mode-n coordinate —
 // nnz(𝒳)(Q+R) records, the Table III bound — and each reducer holds one
 // tensor slice (nnz(𝒳ᵢ::)(Q+R) memory) and forms all Q·R combinations
-// locally.
-func crossMerge(c *mr.Cluster, codec Codec, t1Files, t2Files []string, n int) ([]YEntry, error) {
+// locally. q and r are the column counts of the two factors.
+func crossMerge(c *mr.Cluster, codec Codec, t1Files, t2Files []string, n, q, r int) ([]YEntry, error) {
 	mapSide := func(tag uint8) func(h HEntry, emit func([3]int64, sval)) {
 		return func(h HEntry, emit func([3]int64, sval)) {
 			emit([3]int64{h.Idx[n], 0, 0}, sval{tag: tag, idx: h.Idx, col: h.Col, val: h.Val})
 		}
 	}
 	job := mr.Job[[3]int64, sval, YEntry]{
-		Name:   fmt.Sprintf("crossmerge(mode=%d)", n),
-		Inputs: sideInputs(t1Files, t2Files, mapSide),
-		Reduce: func(key [3]int64, vals []sval, emit func(YEntry)) {
-			// Match 𝒯′ and 𝒯″ records on their original (i,j,k)
-			// coordinate, then cross the q and r columns.
-			type cv struct {
-				col int32
-				val float64
-			}
-			// Coordinates and (q, r) cells are walked in first-seen order
-			// (vals order is fixed by the engine), never in map order, so
-			// each cell's floating-point summation order — and the
-			// emission order — is identical on every run.
-			t1 := make(map[[3]int64][]cv)
-			t2 := make(map[[3]int64][]cv)
-			var idxOrder [][3]int64
-			for _, v := range vals {
-				if v.tag == tagT1 {
-					if _, ok := t1[v.idx]; !ok {
-						idxOrder = append(idxOrder, v.idx)
-					}
-					t1[v.idx] = append(t1[v.idx], cv{v.col, v.val})
-				} else {
-					t2[v.idx] = append(t2[v.idx], cv{v.col, v.val})
-				}
-			}
-			acc := make(map[[2]int32]float64)
-			var accOrder [][2]int32
-			for _, idx := range idxOrder {
-				rs, ok := t2[idx]
-				if !ok {
-					continue
-				}
-				for _, qv := range t1[idx] {
-					for _, rv := range rs {
-						qr := [2]int32{qv.col, rv.col}
-						if _, seen := acc[qr]; !seen {
-							accOrder = append(accOrder, qr)
-						}
-						acc[qr] += qv.val * rv.val
-					}
-				}
-			}
-			for _, qr := range accOrder {
-				if v := acc[qr]; v != 0 {
-					emit(YEntry{I: key[0], Q: qr[0], R: qr[1], Val: v})
-				}
-			}
-		},
+		Name:      fmt.Sprintf("crossmerge(mode=%d)", n),
+		Inputs:    sideInputs(t1Files, t2Files, mapSide),
+		Reduce:    crossMergeReduce(q, r),
 		Partition: mr.HashTriple,
 		OutSize:   yEntrySize,
 	}
 	svalAccounting(&job, codec)
 	out, _, err := mr.Run(c, job)
 	return out, err
+}
+
+// crossMergeReduce returns CrossMerge's reducer for factors of q and r
+// columns. It matches 𝒯′ and 𝒯″ records on their original (i,j,k)
+// coordinate in the join scratch, then crosses the q and r columns into
+// a dense q×r accumulator. Coordinates are walked in the order of their
+// first 𝒯′ record and each coordinate's records in input order (which
+// the engine fixes), and cells are emitted in first-touch order, so
+// every cell's floating-point summation order — and the emission order —
+// is identical on every run.
+func crossMergeReduce(q, r int) func(key [3]int64, vals []sval, emit func(YEntry)) {
+	return func(key [3]int64, vals []sval, emit func(YEntry)) {
+		j := joinPool.Get().(*joinScratch)
+		defer joinPool.Put(j)
+		j.reset()
+		// Slot s's 𝒯′ records form list 2s, its 𝒯″ records list 2s+1.
+		// Only 𝒯′ records create slots; a 𝒯″ record without a 𝒯′
+		// partner contributes nothing and is left out.
+		for _, v := range vals {
+			l := int32(-1)
+			if v.tag == tagT1 {
+				l = 2 * j.slot(coord3(v.idx))
+			}
+			j.rec = append(j.rec, l)
+		}
+		for i, v := range vals {
+			if v.tag != tagT1 {
+				if s := j.find(coord3(v.idx)); s >= 0 {
+					j.rec[i] = 2*s + 1
+				}
+			}
+		}
+		j.layout(2 * j.slots())
+		for i, v := range vals {
+			if l := j.rec[i]; l >= 0 {
+				j.put(l, v.col, v.val)
+			}
+		}
+		j.accumulator(q * r)
+		for s := 0; s < j.slots(); s++ {
+			rc, rv := j.list(2*s + 1)
+			if len(rc) == 0 {
+				continue
+			}
+			qc, qv := j.list(2 * s)
+			for a := range qc {
+				base := int(qc[a]) * r
+				for b := range rc {
+					j.add(base+int(rc[b]), qv[a]*rv[b])
+				}
+			}
+		}
+		for _, cell := range j.touched {
+			if v := j.acc[cell]; v != 0 {
+				emit(YEntry{I: key[0], Q: cell / int32(r), R: cell % int32(r), Val: v})
+			}
+		}
+	}
 }
 
 // pairwiseMerge is PairwiseMerge(𝒯′, 𝒯″)₍ₙ₎ (Definition 4), the final
@@ -345,38 +357,52 @@ func pairwiseMerge(c *mr.Cluster, codec Codec, t1Files, t2Files []string, n int)
 		}
 	}
 	job := mr.Job[[3]int64, sval, YEntry]{
-		Name:   fmt.Sprintf("pairwisemerge(mode=%d)", n),
-		Inputs: sideInputs(t1Files, t2Files, mapSide),
-		Reduce: func(key [3]int64, vals []sval, emit func(YEntry)) {
-			// One scratch map per in-flight reduce call, recycled via the
-			// pool: this reducer runs once per (coordinate, r) key —
-			// millions of calls per ALS iteration — and a fresh map per
-			// call was the plan's dominant allocation.
-			t2 := pairScratchPool.Get().(map[[3]int64]float64)
-			defer func() { clear(t2); pairScratchPool.Put(t2) }()
-			for _, v := range vals {
-				if v.tag == tagT2 {
-					t2[v.idx] += v.val
-				}
-			}
-			var sum float64
-			for _, v := range vals {
-				if v.tag == tagT1 {
-					sum += v.val * t2[v.idx]
-				}
-			}
-			if sum == 0 {
-				return
-			}
-			r := int32(key[1])
-			emit(YEntry{I: key[0], Q: r, R: r, Val: sum})
-		},
+		Name:      fmt.Sprintf("pairwisemerge(mode=%d)", n),
+		Inputs:    sideInputs(t1Files, t2Files, mapSide),
+		Reduce:    pairwiseMergeReduce,
 		Partition: mr.HashTriple,
 		OutSize:   yEntrySize,
 	}
 	svalAccounting(&job, codec)
 	out, _, err := mr.Run(c, job)
 	return out, err
+}
+
+// pairwiseMergeReduce is PairwiseMerge's reducer. It runs once per
+// (coordinate, r) key — millions of calls per ALS iteration — so the
+// 𝒯″ sums live in the pooled join scratch, one float per coordinate
+// slot. 𝒯′ records are summed in input order; one without a 𝒯″
+// partner multiplies +0, as a map miss did, so NaN and Inf propagate.
+func pairwiseMergeReduce(key [3]int64, vals []sval, emit func(YEntry)) {
+	j := joinPool.Get().(*joinScratch)
+	defer joinPool.Put(j)
+	j.reset()
+	t2 := j.slab[:0]
+	for _, v := range vals {
+		if v.tag == tagT2 {
+			s := j.slot(coord3(v.idx))
+			if int(s) == len(t2) {
+				t2 = append(t2, 0)
+			}
+			t2[s] += v.val
+		}
+	}
+	j.slab = t2
+	var sum float64
+	for _, v := range vals {
+		if v.tag == tagT1 {
+			var w float64
+			if s := j.find(coord3(v.idx)); s >= 0 {
+				w = t2[s]
+			}
+			sum += v.val * w
+		}
+	}
+	if sum == 0 {
+		return
+	}
+	r := int32(key[1])
+	emit(YEntry{I: key[0], Q: r, R: r, Val: sum})
 }
 
 // sideInputs builds the merge-job input list: every 𝒯′ file mapped with

@@ -111,6 +111,8 @@ func tuckerALSStaged(s *Staged, x *tensor.Tensor, core [3]int, opt Options) (*Tu
 			factors[n] = matrix.LeadingLeftSingularVectors(ym, core[n])
 			if n == 2 {
 				lastY = ys
+			} else {
+				mr.Recycle(ys)
 			}
 			tr.End(modeSpan)
 		}
@@ -128,6 +130,7 @@ func tuckerALSStaged(s *Staged, x *tensor.Tensor, core [3]int, opt Options) (*Tu
 				g.Add(y.Val*cv, int64(y.Q), int64(y.R), int64(r))
 			}
 		}
+		mr.Recycle(lastY)
 		norm := g.Norm()
 		res.CoreNorms = append(res.CoreNorms, norm)
 		res.Iters = it + 1

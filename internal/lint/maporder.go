@@ -24,8 +24,9 @@ import (
 // nothing but collect the keys into a slice that the same function then
 // sorts (the collect-sort-iterate idiom) is order-independent by
 // construction and passes. The other sanctioned fix — recording keys in
-// a first-seen-order slice alongside the map, the pattern CrossMerge
-// and PairwiseMergeN use — ranges over a slice and needs no carve-out.
+// a first-seen-order slice alongside the map, or assigning them dense
+// first-seen slots as the merge reducers' join scratch does — ranges
+// over a slice and needs no carve-out.
 var MapOrder = &Analyzer{
 	Name: "maporder",
 	Doc:  "no map iteration inside Map/Reduce/Combine or emit-callback functions",

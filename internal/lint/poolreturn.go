@@ -28,7 +28,7 @@ import (
 // obligation alive to the exit and is reported. Paths ending in panic
 // or os.Exit have no edge to the exit block and are deliberately not
 // charged. The shuffle-v2 codec pools widened the surface: core's
-// per-reduce scratch maps come from a raw sync.Pool behind a type
+// per-reduce join scratch comes from a raw sync.Pool behind a type
 // assertion, and plans borrow engine slabs through the exported
 // mr.Acquire/mr.Recycle pair, so both shapes are tracked here too.
 var PoolReturn = &Analyzer{
